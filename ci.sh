@@ -153,8 +153,9 @@ EOF
 echo "== sharded determinism gate (smoke, 1 vs 4 threads) =="
 # Two full smoke baselines at different worker-thread counts must agree on
 # every results digest: the sweep digest (run_sweep fans points out over a
-# pool) and the sharded fleet digest (the sharded engine's bit-identity
-# contract). A mismatch means thread count leaked into simulation results.
+# pool), the sharded fleet digest (the sharded engine's bit-identity
+# contract) and the grid planner digest (recommend_grid fans shards out
+# over the same kind of pool). A mismatch means thread count leaked into simulation results.
 target/release/perfbase --smoke --threads 1 --out-dir target/bench-smoke-t1
 target/release/perfbase --smoke --threads 4 --out-dir target/bench-smoke-t4
 python3 - target/bench-smoke-t1/BENCH_sim.json target/bench-smoke-t4/BENCH_sim.json <<'EOF' \
@@ -168,6 +169,15 @@ assert a["sweep"]["results_digest"] == b["sweep"]["results_digest"], (
 assert a["sharded"]["results_digest"] == b["sharded"]["results_digest"], (
     f"sharded digest differs across thread counts: "
     f"{a['sharded']['results_digest']} vs {b['sharded']['results_digest']}")
+EOF
+# The grid planner fans its candidate shards out over the worker pool, so
+# its recommendations must not move with the thread count either.
+python3 - target/bench-smoke-t1/BENCH_infer.json target/bench-smoke-t4/BENCH_infer.json <<'EOF' \
+    || { echo "grid planner digest determinism gate failed" >&2; exit 1; }
+import json, sys
+a = json.load(open(sys.argv[1]))["planner"]["planner_digest"]
+b = json.load(open(sys.argv[2]))["planner"]["planner_digest"]
+assert a == b, f"grid planner digest differs across thread counts: {a} vs {b}"
 EOF
 # The control-plane policies decide on a single thread, so their chosen
 # configurations must not move with the worker pool either.

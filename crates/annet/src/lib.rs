@@ -16,7 +16,7 @@
 //!   mean-squared-error loss, and prediction;
 //! * [`scaler`] — min–max feature scaling;
 //! * [`dataset`] — in-memory datasets with shuffling and train/test splits;
-//! * [`metrics`] — MAE (the paper's accuracy criterion), RMSE and R².
+//! * [`metrics`] — MAE (the paper's accuracy metric), RMSE and R².
 //!
 //! # Example
 //!

@@ -243,7 +243,7 @@ fn bench_sharded(smoke: bool) -> ShardedNumbers {
             events_fired = outcome.events_fired;
         }
     }
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = desim::available_threads();
     let speedup_4_over_1 = wall[0] / wall[2];
     if !smoke && host_cores >= 4 {
         assert!(
@@ -750,7 +750,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut out_dir = String::from(".");
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut threads = desim::available_threads();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {

@@ -42,7 +42,7 @@ impl Effort {
     pub fn quick() -> Self {
         Effort {
             messages: 2_000,
-            threads: num_threads(),
+            threads: desim::available_threads(),
             seed: 42,
             grid_planner: false,
         }
@@ -53,7 +53,7 @@ impl Effort {
     pub fn full() -> Self {
         Effort {
             messages: 20_000,
-            threads: num_threads(),
+            threads: desim::available_threads(),
             seed: 42,
             grid_planner: false,
         }
@@ -70,12 +70,6 @@ impl Effort {
             PlannerMode::Greedy
         }
     }
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
 }
 
 /// One point of a reliability series.

@@ -49,7 +49,7 @@ fn online_adaptive_beats_frozen_after_the_shift() {
         "pre-drift the adaptive policy must match the frozen planner bit-for-bit"
     );
 
-    // The acceptance criterion: adaptation strictly lowers the mean
+    // The acceptance check: adaptation strictly lowers the mean
     // post-drift γ prediction error.
     let post_frozen = frozen.post_shift_err.expect("frozen post-drift windows");
     let post_online = online.post_shift_err.expect("online post-drift windows");

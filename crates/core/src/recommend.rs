@@ -17,10 +17,6 @@ use crate::features::Features;
 use crate::kpi::KpiModel;
 use crate::model::Predictor;
 
-/// One shard of grid candidates plus the slot its best lands in:
-/// `(shard index, candidates, per-shard best (global index, γ))`.
-type ShardJob<'g> = (usize, &'g [Features], &'g mut Option<(usize, f64)>);
-
 /// The tunable-parameter ranges the search may move within.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchSpace {
@@ -405,10 +401,10 @@ impl<'a> Recommender<'a> {
 
     /// Candidates per evaluation shard of [`Recommender::recommend_grid`].
     ///
-    /// The shard plan is a function of the grid alone — like the training
-    /// path's gradient shards, it never depends on the worker count, and
-    /// shard results are reduced in ascending shard order, which is what
-    /// makes the recommendation bit-identical at any thread count.
+    /// The shard plan is a function of the grid alone — it never depends
+    /// on the worker count — and shard results are reduced in ascending
+    /// shard order, which is what makes the recommendation bit-identical
+    /// at any thread count.
     pub const GRID_SHARD: usize = 512;
 
     /// Exhaustively scans the full `SearchSpace` grid with batched
@@ -435,45 +431,25 @@ impl<'a> Recommender<'a> {
         requirement: f64,
         threads: usize,
     ) -> Recommendation {
-        assert!(threads > 0, "need at least one worker");
         let grid = self.grid(start);
         let shards: Vec<&[Features]> = grid.chunks(Self::GRID_SHARD).collect();
         // (global index, γ) of each shard's best candidate.
-        let mut bests: Vec<Option<(usize, f64)>> = vec![None; shards.len()];
-        let eval_shard = |shard_no: usize, shard: &[Features]| -> Option<(usize, f64)> {
-            let predictions = self.predictor.predict_batch(shard);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, (candidate, prediction)) in shard.iter().zip(predictions).enumerate() {
-                let g = self.kpi.gamma_with(prediction, candidate, weights);
-                if best.is_none_or(|(_, bg)| g > bg) {
-                    best = Some((shard_no * Self::GRID_SHARD + j, g));
+        let bests = desim::par(
+            &shards,
+            threads,
+            || (),
+            |(), shard_no, shard| {
+                let predictions = self.predictor.predict_batch(shard);
+                let mut best: Option<(usize, f64)> = None;
+                for (j, (candidate, prediction)) in shard.iter().zip(predictions).enumerate() {
+                    let g = self.kpi.gamma_with(prediction, candidate, weights);
+                    if best.is_none_or(|(_, bg)| g > bg) {
+                        best = Some((shard_no * Self::GRID_SHARD + j, g));
+                    }
                 }
-            }
-            best
-        };
-        if threads <= 1 {
-            for (shard_no, (shard, slot)) in shards.iter().zip(bests.iter_mut()).enumerate() {
-                *slot = eval_shard(shard_no, shard);
-            }
-        } else {
-            let mut jobs: Vec<ShardJob<'_>> = shards
-                .iter()
-                .zip(bests.iter_mut())
-                .enumerate()
-                .map(|(shard_no, (shard, slot))| (shard_no, *shard, slot))
-                .collect();
-            let per_worker = jobs.len().div_ceil(threads.min(jobs.len()));
-            crossbeam::scope(|scope| {
-                for worker_jobs in jobs.chunks_mut(per_worker) {
-                    scope.spawn(move |_| {
-                        for (shard_no, shard, slot) in worker_jobs.iter_mut() {
-                            **slot = eval_shard(*shard_no, shard);
-                        }
-                    });
-                }
-            })
-            .expect("grid worker panicked");
-        }
+                best
+            },
+        );
         // Reduce in ascending shard order — fixed, thread-independent.
         let (best_idx, best_gamma) = bests
             .into_iter()

@@ -17,6 +17,8 @@
 //!   exponential, **Pareto** for network delay, normal, Bernoulli).
 //! * **Statistics** helpers ([`stats`]) accumulate counters, running moments
 //!   and time-weighted averages without storing sample vectors.
+//! * **Fan-out** of independent work items ([`par()`]) over scoped worker
+//!   threads, with results in input order at any worker count.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@
 pub mod engine;
 pub mod fasthash;
 pub mod minq;
+mod par;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -51,6 +54,7 @@ pub mod typed;
 
 pub use engine::{Context, EventId, Simulation};
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
+pub use par::{available_threads, par};
 pub use queue::BoundedQueue;
 pub use rng::SimRng;
 pub use shard::{ShardContext, ShardWorld, ShardedSim};

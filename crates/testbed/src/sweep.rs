@@ -6,12 +6,10 @@
 //! the input order regardless of completion order, keeping downstream
 //! processing deterministic.
 //!
-//! Work is split by *chunked ownership*: the grid is cut into one
-//! contiguous chunk per worker, each worker owns its chunk's result vector
-//! outright (no shared slots, no locks), and the chunks are concatenated
-//! in order at the end. Each worker also threads one [`RunArena`] through
-//! its runs, so per-run buffers are allocated once per worker instead of
-//! once per point.
+//! The fan-out is [`desim::par`]: one contiguous chunk of points per
+//! worker, results concatenated in order. Each worker also threads one
+//! [`RunArena`] through its runs, so per-run buffers are allocated once
+//! per worker instead of once per point.
 
 use kafkasim::runtime::RunArena;
 
@@ -35,42 +33,9 @@ pub fn run_sweep(
     base_seed: u64,
     threads: usize,
 ) -> Vec<ExperimentResult> {
-    assert!(threads > 0, "need at least one worker");
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.min(points.len());
-    let chunk_len = points.len().div_ceil(workers);
-    let chunks: Vec<Vec<ExperimentResult>> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = points
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(w, slice)| {
-                scope.spawn(move |_| {
-                    let mut arena = RunArena::new();
-                    let offset = w * chunk_len;
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(j, point)| {
-                            let seed = derive_seed(base_seed, (offset + j) as u64);
-                            point.run_pooled(cal, n_messages, seed, &mut arena)
-                        })
-                        .collect::<Vec<ExperimentResult>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+    desim::par(points, threads, RunArena::new, |arena, i, point| {
+        point.run_pooled(cal, n_messages, derive_seed(base_seed, i as u64), arena)
     })
-    .expect("worker panicked");
-    let mut results = Vec::with_capacity(points.len());
-    for chunk in chunks {
-        results.extend(chunk);
-    }
-    results
 }
 
 /// The seed used for point `index` of a sweep rooted at `base_seed`.

@@ -1,18 +1,13 @@
-//! Sharded-engine pins: the parallel fleet engine and the threaded
-//! protocol-run read-back must be bit-identical at every thread count —
-//! on the committed fleet scenario, on arbitrary fleet configs, and on
-//! broker-fault protocol runs — and shard-tagged trace streams must merge
-//! into one well-nested stream.
+//! Sharded-engine pins: the parallel fleet engine must be bit-identical at
+//! every thread count — on the committed fleet scenario and on arbitrary
+//! fleet configs — and shard-tagged trace streams must merge into one
+//! well-nested stream.
 
 use desim::{SimDuration, SimTime};
-use kafkasim::broker::BrokerId;
-use kafkasim::config::{DeliverySemantics, ProducerConfig};
 use kafkasim::fleet::{
     Assignor, ChurnAction, ChurnEvent, FleetConfig, FleetRun, PartitionStrategy, Population,
     PopulationEntry,
 };
-use kafkasim::runtime::{BrokerFault, KafkaRun, RunSpec};
-use kafkasim::source::SourceSpec;
 use obs::{merge_shard_streams, well_nested, RingBufferSink, TraceEvent};
 use proptest::prelude::*;
 use spec::{ExperimentSpec, Spec};
@@ -136,79 +131,6 @@ fn merged_trace_streams_are_well_nested() {
         got.sort();
         want.sort();
         assert_eq!(got, want, "{n_shards} shards permuted the event set");
-    }
-}
-
-/// A protocol run with a mid-run broker crash, replicated topic and
-/// at-least-once producer.
-fn crash_run() -> RunSpec {
-    let mut run = RunSpec {
-        source: SourceSpec::fixed_rate(2_000, 200, 400.0),
-        ..RunSpec::default()
-    };
-    run.cluster.replication.factor = 3;
-    run.producer = ProducerConfig::builder()
-        .semantics(DeliverySemantics::AtLeastOnce)
-        .message_timeout(SimDuration::from_millis(2_000))
-        .build()
-        .expect("valid producer config");
-    run.faults.push(BrokerFault::crash(
-        BrokerId(0),
-        SimTime::from_secs(2),
-        SimDuration::from_millis(3_000),
-    ));
-    run.failover_after = Some(SimDuration::from_millis(500));
-    run
-}
-
-/// A protocol run with a flapping broker under acks=all.
-fn flapping_run() -> RunSpec {
-    let mut run = RunSpec {
-        source: SourceSpec::fixed_rate(2_000, 100, 400.0),
-        ..RunSpec::default()
-    };
-    run.cluster.replication.factor = 3;
-    run.producer = ProducerConfig::builder()
-        .semantics(DeliverySemantics::All)
-        .message_timeout(SimDuration::from_millis(2_000))
-        .build()
-        .expect("valid producer config");
-    run.faults.push(BrokerFault {
-        broker: BrokerId(1),
-        at: SimTime::from_secs(1),
-        down_for: SimDuration::from_millis(500),
-        flaps: 3,
-        up_for: SimDuration::from_millis(800),
-    });
-    run
-}
-
-/// `KafkaRun::with_threads` parallelises read-back and audit counting;
-/// the full outcome — delivery report, audit ledger rollups, producer and
-/// broker counters — must be bit-identical at 1/2/4/8 threads, on both
-/// broker-fault scenarios.
-#[test]
-fn broker_fault_runs_are_thread_invariant() {
-    for (name, spec) in [("crash", crash_run()), ("flapping", flapping_run())] {
-        spec.validate().expect("fault scenario is valid");
-        let baseline = KafkaRun::new(spec.clone(), 77).with_threads(1).execute();
-        assert!(
-            baseline.report.lost > 0 || baseline.report.duplicated > 0,
-            "{name}: the fault must actually perturb delivery"
-        );
-        for threads in [2, 4, 8] {
-            let run = KafkaRun::new(spec.clone(), 77)
-                .with_threads(threads)
-                .execute();
-            assert_eq!(
-                run.report, baseline.report,
-                "{name}: delivery report diverged at {threads} threads"
-            );
-            assert_eq!(
-                run, baseline,
-                "{name}: outcome diverged at {threads} threads"
-            );
-        }
     }
 }
 
